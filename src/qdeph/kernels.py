@@ -12,16 +12,19 @@ All quantities are frequency integrals against J(omega):
                        = d/dt [gamma_vac + gamma_th]
     big_f(t)           sigma3_mean * int_0^t tau kernel_sin(tau) d tau
 
-For the Ohmic exponent s = 1 several of these have elementary closed forms,
-used automatically unless the quadrature config sets force_quadrature; the
-thermal transforms always go through quadrature.
+Each transform is defined once, in ``_TRANSFORMS``: its integrand, trig kind,
+origin power, tail scale and, where one exists, its Ohmic (s = 1) closed
+form, used unless the quadrature config sets force_quadrature; the thermal
+transforms always go through quadrature. ``_transform`` evaluates one on an
+array of times with the vectorised grid transform, or at a single time with
+the scalar quadrature. The public scalar functions, ``build_kernel_table``
+and ``model.breakdown_grid`` all evaluate through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,6 +73,97 @@ def _check_beta(beta: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the transforms
+
+class _Transform(NamedTuple):
+    """One frequency transform int f(omega) trig(omega t) d omega of J.
+
+    integrand(J, beta, omega) is f, which goes like omega**(s + origin) at
+    the origin; thermal marks an integrand that decays like
+    exp(-(1/omega_c + beta) omega) rather than exp(-omega/omega_c). ohmic,
+    when given, is the s = 1 closed form as a function of (coupling,
+    omega_c, omega_c t); ohmic_rest names a transform added to it.
+    """
+
+    kind: str
+    integrand: Callable
+    origin: float
+    thermal: bool = False
+    ohmic: Optional[Callable] = None
+    ohmic_rest: Optional[str] = None
+
+
+def _j_over_w2(J, beta, w):
+    return J.evaluate(w) / w ** 2
+
+
+_TRANSFORMS = {
+    "phi": _Transform(
+        "sine", _j_over_w2, -2.0,
+        ohmic=lambda lam, om, wt: lam * np.arctan(wt)),
+    "gamma_vac": _Transform(
+        "one_minus_cosine", _j_over_w2, -2.0,
+        ohmic=lambda lam, om, wt: 0.5 * lam * np.log1p(wt ** 2)),
+    "gamma_th": _Transform(
+        "one_minus_cosine",
+        lambda J, beta, w: (J.evaluate(w) * _coth_minus_one(0.5 * beta * w)
+                            / w ** 2),
+        -3.0, thermal=True),
+    "kernel_sin": _Transform(
+        "sine", lambda J, beta, w: J.evaluate(w), 0.0,
+        ohmic=lambda lam, om, wt: (2.0 * lam * om ** 2 * wt
+                                   / (1.0 + wt ** 2) ** 2)),
+    "kernel_cos_th": _Transform(
+        "cosine",
+        lambda J, beta, w: 0.5 * J.evaluate(w) * _coth(0.5 * beta * w), -1.0),
+    "drive": _Transform(
+        "cosine", lambda J, beta, w: J.evaluate(w) / w, -1.0,
+        ohmic=lambda lam, om, wt: lam * om / (1.0 + wt ** 2)),
+    # for s = 1 the vacuum part is taken in closed form and only the thermal
+    # remainder is integrated
+    "decoherence_rate": _Transform(
+        "sine", lambda J, beta, w: J.evaluate(w) / w * _coth(0.5 * beta * w),
+        -2.0, ohmic=lambda lam, om, wt: lam * om * wt / (1.0 + wt ** 2),
+        ohmic_rest="thermal_rate"),
+    "thermal_rate": _Transform(
+        "sine",
+        lambda J, beta, w: J.evaluate(w) / w * _coth_minus_one(0.5 * beta * w),
+        -2.0, thermal=True),
+}
+
+
+def _transform(name: str, spectral: SpectralDensity, beta: Optional[float],
+               t, cfg: Optional[QuadratureConfig] = None):
+    """Transform ``name`` of J at t: a float at a scalar t, else an array.
+
+    An array of times shares one grid transform; a scalar time goes through
+    integrate_oscillatory, whose cost stays bounded at large t.
+    """
+    cfg = cfg or QuadratureConfig()
+    tr = _TRANSFORMS[name]
+    scalar = np.ndim(t) == 0
+    if tr.ohmic is not None and _use_closed_form(spectral, cfg):
+        om = spectral.omega_c
+        value = tr.ohmic(spectral.coupling, om, om * t)
+        if tr.ohmic_rest is not None:
+            value = value + _transform(tr.ohmic_rest, spectral, beta, t, cfg)
+        return float(value) if scalar else value
+    f = lambda w: tr.integrand(spectral, beta, w)
+    scale = (1.0 / (1.0 / spectral.omega_c + beta) if tr.thermal
+             else spectral.omega_c)
+    integrate = integrate_oscillatory if scalar else oscillatory_grid
+    return integrate(f, tr.kind, t, cfg, origin_power=spectral.s + tr.origin,
+                     tail_scale=scale)
+
+
+def _ohmic_big_f(spectral: SpectralDensity, sigma3_mean: float, t):
+    """F(t) for s = 1 at a scalar t or an array of times."""
+    wt = spectral.omega_c * t
+    return (spectral.coupling * sigma3_mean
+            * (np.arctan(wt) - wt / (1.0 + wt ** 2)))
+
+
+# ---------------------------------------------------------------------------
 # scalar transforms
 
 def phi(spectral: SpectralDensity, t: float,
@@ -78,13 +172,7 @@ def phi(spectral: SpectralDensity, t: float,
 
     For s = 1 this is coupling * arctan(omega_c t).
     """
-    cfg = cfg or QuadratureConfig()
-    if _use_closed_form(spectral, cfg):
-        return spectral.coupling * math.atan(spectral.omega_c * t)
-    f = lambda w: spectral.evaluate(w) / w ** 2
-    return integrate_oscillatory(f, "sine", t, cfg,
-                                 origin_power=spectral.s - 2.0,
-                                 tail_scale=spectral.omega_c)
+    return _transform("phi", spectral, None, t, cfg)
 
 
 def gamma_vac(spectral: SpectralDensity, t: float,
@@ -93,13 +181,7 @@ def gamma_vac(spectral: SpectralDensity, t: float,
 
     For s = 1 this is (coupling/2) * log(1 + omega_c^2 t^2).
     """
-    cfg = cfg or QuadratureConfig()
-    if _use_closed_form(spectral, cfg):
-        return 0.5 * spectral.coupling * math.log1p((spectral.omega_c * t) ** 2)
-    f = lambda w: spectral.evaluate(w) / w ** 2
-    return integrate_oscillatory(f, "one_minus_cosine", t, cfg,
-                                 origin_power=spectral.s - 2.0,
-                                 tail_scale=spectral.omega_c)
+    return _transform("gamma_vac", spectral, None, t, cfg)
 
 
 def gamma_th(spectral: SpectralDensity, beta: float, t: float,
@@ -110,14 +192,8 @@ def gamma_th(spectral: SpectralDensity, beta: float, t: float,
     evaluated by quadrature. The thermal factor decays like exp(-beta omega),
     so the effective tail scale shortens accordingly.
     """
-    cfg = cfg or QuadratureConfig()
     _check_beta(beta)
-    f = lambda w: (spectral.evaluate(w) * _coth_minus_one(0.5 * beta * w)
-                   / w ** 2)
-    scale = 1.0 / (1.0 / spectral.omega_c + beta)
-    return integrate_oscillatory(f, "one_minus_cosine", t, cfg,
-                                 origin_power=spectral.s - 3.0,
-                                 tail_scale=scale)
+    return _transform("gamma_th", spectral, beta, t, cfg)
 
 
 def kernel_sin(spectral: SpectralDensity, tau: float,
@@ -126,14 +202,7 @@ def kernel_sin(spectral: SpectralDensity, tau: float,
 
     For s = 1: 2 coupling omega_c^3 tau / (1 + omega_c^2 tau^2)^2.
     """
-    cfg = cfg or QuadratureConfig()
-    if _use_closed_form(spectral, cfg):
-        wt = spectral.omega_c * tau
-        return (2.0 * spectral.coupling * spectral.omega_c ** 2 * wt
-                / (1.0 + wt ** 2) ** 2)
-    return integrate_oscillatory(spectral.evaluate, "sine", tau, cfg,
-                                 origin_power=spectral.s,
-                                 tail_scale=spectral.omega_c)
+    return _transform("kernel_sin", spectral, None, tau, cfg)
 
 
 def kernel_cos_th(spectral: SpectralDensity, beta: float, tau: float,
@@ -143,12 +212,8 @@ def kernel_cos_th(spectral: SpectralDensity, beta: float, tau: float,
     Always evaluated by quadrature (the thermal factor has no elementary
     transform).
     """
-    cfg = cfg or QuadratureConfig()
     _check_beta(beta)
-    f = lambda w: 0.5 * spectral.evaluate(w) * _coth(0.5 * beta * w)
-    return integrate_oscillatory(f, "cosine", tau, cfg,
-                                 origin_power=spectral.s - 1.0,
-                                 tail_scale=spectral.omega_c)
+    return _transform("kernel_cos_th", spectral, beta, tau, cfg)
 
 
 def drive(spectral: SpectralDensity, t: float,
@@ -158,14 +223,7 @@ def drive(spectral: SpectralDensity, t: float,
     At t = 0 equals coupling * omega_c * Gamma(s); for s = 1 it is
     coupling * omega_c / (1 + omega_c^2 t^2).
     """
-    cfg = cfg or QuadratureConfig()
-    if _use_closed_form(spectral, cfg):
-        return (spectral.coupling * spectral.omega_c
-                / (1.0 + (spectral.omega_c * t) ** 2))
-    f = lambda w: spectral.evaluate(w) / w
-    return integrate_oscillatory(f, "cosine", t, cfg,
-                                 origin_power=spectral.s - 1.0,
-                                 tail_scale=spectral.omega_c)
+    return _transform("drive", spectral, None, t, cfg)
 
 
 def decoherence_rate(spectral: SpectralDensity, beta: float, t: float,
@@ -176,21 +234,8 @@ def decoherence_rate(spectral: SpectralDensity, beta: float, t: float,
     For s = 1 the vacuum part coupling omega_c^2 t / (1 + omega_c^2 t^2) is
     taken in closed form and only the thermal remainder is integrated.
     """
-    cfg = cfg or QuadratureConfig()
     _check_beta(beta)
-    if _use_closed_form(spectral, cfg):
-        wt = spectral.omega_c * t
-        vac = spectral.coupling * spectral.omega_c * wt / (1.0 + wt ** 2)
-        f = lambda w: (spectral.evaluate(w) / w
-                       * _coth_minus_one(0.5 * beta * w))
-        scale = 1.0 / (1.0 / spectral.omega_c + beta)
-        return vac + integrate_oscillatory(f, "sine", t, cfg,
-                                           origin_power=spectral.s - 2.0,
-                                           tail_scale=scale)
-    f = lambda w: spectral.evaluate(w) / w * _coth(0.5 * beta * w)
-    return integrate_oscillatory(f, "sine", t, cfg,
-                                 origin_power=spectral.s - 2.0,
-                                 tail_scale=spectral.omega_c)
+    return _transform("decoherence_rate", spectral, beta, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +275,7 @@ def big_f(spectral: SpectralDensity, sigma3_mean: float, t: float,
     if sigma3_mean == 0.0 or t == 0.0:
         return 0.0
     if _use_closed_form(spectral, cfg):
-        wt = spectral.omega_c * t
-        return (spectral.coupling * sigma3_mean
-                * (math.atan(wt) - wt / (1.0 + wt ** 2)))
+        return float(_ohmic_big_f(spectral, sigma3_mean, t))
     g = lambda tau: tau * kernel_sin(spectral, tau, cfg)
     return sigma3_mean * _adaptive_simpson(g, 0.0, t, cfg.abs_tol)
 
@@ -291,26 +334,8 @@ def build_kernel_table(spectral: SpectralDensity, beta: float, step: float,
     cfg = cfg or QuadratureConfig()
     _check_beta(beta)
     taus = step * np.arange(count + 1)
-    lam, om = spectral.coupling, spectral.omega_c
-
-    if _use_closed_form(spectral, cfg):
-        wt = om * taus
-        k_sin_vals = 2.0 * lam * om ** 2 * wt / (1.0 + wt ** 2) ** 2
-        drive_vals = lam * om / (1.0 + wt ** 2)
-    else:
-        k_sin_vals = oscillatory_grid(spectral.evaluate, "sine", taus, cfg,
-                                      origin_power=spectral.s,
-                                      tail_scale=om)
-        k_sin_vals[0] = 0.0
-        drive_vals = oscillatory_grid(lambda w: spectral.evaluate(w) / w,
-                                      "cosine", taus, cfg,
-                                      origin_power=spectral.s - 1.0,
-                                      tail_scale=om)
-
-    f_th = lambda w: 0.5 * spectral.evaluate(w) * _coth(0.5 * beta * w)
-    k_cos_vals = oscillatory_grid(f_th, "cosine", taus, cfg,
-                                  origin_power=spectral.s - 1.0,
-                                  tail_scale=om)
-
-    return KernelTable(step=step, count=count, k_sin=k_sin_vals,
-                       k_cos_th=k_cos_vals, drive=drive_vals)
+    return KernelTable(
+        step=step, count=count,
+        k_sin=_transform("kernel_sin", spectral, beta, taus, cfg),
+        drive=_transform("drive", spectral, beta, taus, cfg),
+        k_cos_th=_transform("kernel_cos_th", spectral, beta, taus, cfg))

@@ -78,7 +78,6 @@ class CoherenceTrajectory:
     times: np.ndarray
     values: np.ndarray
     watchdog: np.ndarray = field(default=None)
-    breakdowns: Optional[list] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

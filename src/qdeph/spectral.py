@@ -26,15 +26,16 @@ logger = logging.getLogger(__name__)
 _KINDS = ("cosine", "sine", "one_minus_cosine")
 
 # extra power of omega contributed by the trig factor at the origin
-_TRIG_ORIGIN_POWER = {"cosine": 0.0, "sine": 1.0, "one_minus_cosine": 2.0, None: 0.0}
+_TRIG_ORIGIN_POWER = {"cosine": 0.0, "sine": 1.0, "one_minus_cosine": 2.0}
 
 
 class QuadratureError(RuntimeError):
     """Oscillatory integral failed to reach the requested tolerance.
 
-    Carries the best value obtained so far in ``estimate`` together with the
-    achieved error bound in ``achieved``, so callers can log or inspect what
-    the engine managed before giving up.
+    Carries the best value obtained so far in ``estimate`` (an array, one
+    value per time, from oscillatory_grid) together with the achieved error
+    bound in ``achieved``, so callers can log or inspect what the engine
+    managed before giving up.
     """
 
     def __init__(self, message: str, estimate: float = math.nan,
@@ -223,58 +224,14 @@ def _accelerate(terms: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # integration strategies
 
-def _trig_factor(kind: Optional[str], t: float) -> Callable:
-    if kind is None:
-        return lambda w: np.ones_like(w)
+def _trig(kind: str, phase):
+    """The trig factor of ``kind`` at phase = omega * t."""
     if kind == "cosine":
-        return lambda w: np.cos(w * t)
+        return np.cos(phase)
     if kind == "sine":
-        return lambda w: np.sin(w * t)
+        return np.sin(phase)
     # 1 - cos(x) written as 2 sin^2(x/2): exact cancellation-free form
-    return lambda w: 2.0 * np.sin(0.5 * w * t) ** 2
-
-
-def _direct_panels(f: Callable, kind: Optional[str], t: float, w_lim: float,
-                   cfg: QuadratureConfig, alpha: Optional[float],
-                   tail_scale: float) -> tuple[float, float]:
-    """Fixed-interval path: panels fine enough to resolve the oscillation.
-
-    Used at t = 0, for small t * W, and always for the non-alternating
-    one_minus_cosine kind. Panel count doubles until two successive levels
-    agree to tolerance.
-    """
-    trig = _trig_factor(kind, t)
-    h = lambda w: f(w) * trig(w)
-    substitute = _needs_substitution(alpha)
-
-    n0 = max(16, 2 * math.ceil(w_lim / tail_scale))
-    if t > 0.0:
-        n0 = max(n0, math.ceil(t * w_lim / math.pi))
-
-    def level(n: int) -> float:
-        edges = np.linspace(0.0, w_lim, n + 1)
-        total = 0.0
-        start = 0
-        if substitute:
-            v, _ = _origin_panel(h, edges[1], alpha, cfg.abs_tol,
-                                 cfg.max_refinements)
-            total += v
-            start = 1
-        for k in range(start, n):
-            total += _panel(h, edges[k], edges[k + 1], 16)
-        return total
-
-    value = level(n0)
-    err = math.inf
-    n = n0
-    for _ in range(cfg.max_refinements):
-        n *= 2
-        nxt = level(n)
-        err = abs(nxt - value)
-        value = nxt
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            return value, err
-    return value, err
+    return 2.0 * np.sin(0.5 * phase) ** 2
 
 
 def _zero_split(f: Callable, kind: str, t: float, w_lim: float,
@@ -285,8 +242,7 @@ def _zero_split(f: Callable, kind: str, t: float, w_lim: float,
     partial sum stabilises the remaining tail is summed by series
     acceleration over windows of ``tail_segments`` lobes.
     """
-    trig = _trig_factor(kind, t)
-    h = lambda w: f(w) * trig(w)
+    h = lambda w: f(w) * _trig(kind, w * t)
     half = math.pi / t
 
     # lattice of trig zeros: sine vanishes at k*pi/t, cosine at (k-1/2)*pi/t
@@ -327,6 +283,18 @@ def _zero_split(f: Callable, kind: str, t: float, w_lim: float,
     return base, tail_bound + cfg.abs_tol
 
 
+def _net_origin_power(kind: str,
+                      origin_power: Optional[float]) -> Optional[float]:
+    """Power of omega in f * trig at the origin; None when origin_power is."""
+    if origin_power is None:
+        return None
+    alpha = origin_power + _TRIG_ORIGIN_POWER[kind]
+    if alpha <= -1.0:
+        raise ValueError(
+            f"net origin power {alpha} is not integrable at omega = 0")
+    return alpha
+
+
 def integrate_oscillatory(f: Callable, kind: str, t: float,
                           cfg: Optional[QuadratureConfig] = None, *,
                           origin_power: Optional[float] = None,
@@ -338,6 +306,12 @@ def integrate_oscillatory(f: Callable, kind: str, t: float,
     f(omega) ~ omega**alpha as omega -> 0 (alpha + trig power must exceed -1);
     fractional or negative net powers are handled by a smoothing substitution
     on the first panel. tail_scale is the exponential decay scale of f.
+
+    t = 0, the one_minus_cosine kind and t * W <= 8 pi (W the truncation
+    point) go through a one-point oscillatory_grid. Larger t for sine and
+    cosine split the axis at the zeros of the trig factor and accelerate the
+    alternating lobe sums, whose cost, unlike the grid's, stays bounded as t
+    grows.
 
     Raises QuadratureError when the error estimate cannot be brought below
     max(abs_tol, rel_tol * |value|) within the configured effort caps; the
@@ -351,26 +325,22 @@ def integrate_oscillatory(f: Callable, kind: str, t: float,
         raise ValueError("tail_scale must be > 0")
     if cfg is None:
         cfg = QuadratureConfig()
-
-    alpha = None
-    if origin_power is not None:
-        alpha = origin_power + _TRIG_ORIGIN_POWER[kind]
-        if alpha <= -1.0:
-            raise ValueError(
-                f"net origin power {alpha} is not integrable at omega = 0")
+    alpha = _net_origin_power(kind, origin_power)
 
     if t == 0.0 and kind in ("sine", "one_minus_cosine"):
         return 0.0
 
     w_lim = _truncation_point(f, cfg, tail_scale)
+    if kind == "one_minus_cosine" or t * w_lim <= 8.0 * math.pi:
+        try:
+            return float(oscillatory_grid(f, kind, [t], cfg,
+                                          origin_power=origin_power,
+                                          tail_scale=tail_scale)[0])
+        except QuadratureError as exc:
+            exc.estimate = float(exc.estimate[0])
+            raise
 
-    if t == 0.0:
-        value, err = _direct_panels(f, None, 0.0, w_lim, cfg, alpha, tail_scale)
-    elif kind == "one_minus_cosine" or t * w_lim <= 8.0 * math.pi:
-        value, err = _direct_panels(f, kind, t, w_lim, cfg, alpha, tail_scale)
-    else:
-        value, err = _zero_split(f, kind, t, w_lim, cfg, alpha)
-
+    value, err = _zero_split(f, kind, t, w_lim, cfg, alpha)
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     logger.debug("integrate_oscillatory kind=%s t=%g -> %.17g (err est %.3g)",
                  kind, t, value, err)
@@ -391,11 +361,12 @@ def oscillatory_grid(f: Callable, kind: str, t_grid: np.ndarray,
     Shares one omega-node set across all grid times (panels sized to resolve
     the fastest oscillation present, first panel substituted when
     origin_power calls for it), so the whole family costs one matrix-vector
-    product per refinement level. Used to build kernel tables; each entry
-    satisfies the same contract as integrate_oscillatory.
+    product per refinement level. Each entry satisfies the same contract as
+    integrate_oscillatory.
 
     Raises QuadratureError if doubling the panel count up to the configured
-    cap never brings two successive levels within tolerance everywhere.
+    cap never brings two successive levels within tolerance everywhere; its
+    ``estimate`` holds the last level's values, one per grid time.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -407,12 +378,7 @@ def oscillatory_grid(f: Callable, kind: str, t_grid: np.ndarray,
     if np.any(t_grid < 0.0):
         raise ValueError("grid times must be >= 0")
 
-    alpha = None
-    if origin_power is not None:
-        alpha = origin_power + _TRIG_ORIGIN_POWER[kind]
-        if alpha <= -1.0:
-            raise ValueError(
-                f"net origin power {alpha} is not integrable at omega = 0")
+    alpha = _net_origin_power(kind, origin_power)
     substitute = _needs_substitution(alpha)
 
     w_lim = _truncation_point(f, cfg, tail_scale)
@@ -442,14 +408,7 @@ def oscillatory_grid(f: Callable, kind: str, t_grid: np.ndarray,
         nodes = np.concatenate(node_blocks)
         weights = np.concatenate(weight_blocks)
         fw = f(nodes) * weights
-        phase = t_grid[:, None] * nodes[None, :]
-        if kind == "cosine":
-            mat = np.cos(phase)
-        elif kind == "sine":
-            mat = np.sin(phase)
-        else:
-            mat = 2.0 * np.sin(0.5 * phase) ** 2
-        return mat @ fw
+        return _trig(kind, t_grid[:, None] * nodes[None, :]) @ fw
 
     value = level(n)
     err = math.inf
@@ -463,4 +422,4 @@ def oscillatory_grid(f: Callable, kind: str, t_grid: np.ndarray,
             return value
     raise QuadratureError(
         f"grid transform (kind={kind}, {t_grid.size} times) did not converge: "
-        f"max level difference {err:.3g}", achieved=err)
+        f"max level difference {err:.3g}", estimate=value, achieved=err)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from qdeph import (
     KernelTable,
     QuadratureConfig,
+    QubitBathParams,
     SpectralDensity,
     big_f,
+    breakdown_grid,
     build_kernel_table,
     decoherence_rate,
     drive,
@@ -19,6 +21,7 @@ from qdeph import (
     gamma_vac,
     kernel_cos_th,
     kernel_sin,
+    phase_shift,
     phi,
 )
 from qdeph.kernels import _coth, _coth_minus_one
@@ -252,6 +255,25 @@ def test_table_sub_ohmic_endpoints():
     assert table.k_sin[0] == 0.0
     assert table.drive[0] == pytest.approx(0.2 * math.gamma(0.8), rel=1e-8)
     assert table.k_sin[5] == pytest.approx(kernel_sin(J, 0.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("s", (0.5, 1.5))
+def test_non_ohmic_consumers_match_scalar_transforms(s):
+    """The kernel table and breakdown_grid agree with the scalar functions."""
+    J = SpectralDensity(coupling=LAM, omega_c=1.0, s=s)
+    table = build_kernel_table(J, beta=2.0, step=0.1, count=30)
+    for j in (1, 7, 30):
+        tau = table.taus[j]
+        assert table.k_sin[j] == pytest.approx(kernel_sin(J, tau), rel=1e-9)
+        assert table.k_cos_th[j] == pytest.approx(kernel_cos_th(J, 2.0, tau),
+                                                  rel=1e-9)
+        assert table.drive[j] == pytest.approx(drive(J, tau), rel=1e-9)
+    p = QubitBathParams(omega0=1.0, beta=2.0, sigma3_mean=0.5, spectral=J)
+    t_grid = np.linspace(0.0, 1.0, 3)
+    for t, b in zip(t_grid[1:], breakdown_grid(p, t_grid)[1:]):
+        assert b.chi == pytest.approx(phase_shift(p, t), rel=1e-9)
+        assert b.gamma_vac == pytest.approx(gamma_vac(J, t), rel=1e-9)
+        assert b.gamma_th == pytest.approx(gamma_th(J, 2.0, t), rel=1e-9)
 
 
 def test_table_validation():

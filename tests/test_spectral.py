@@ -92,6 +92,8 @@ _ENGINE_CASES = [
     ("exp_cos_t0", lambda w: np.exp(-w), "cosine", 0.0, None, 1.0),
     ("exp_cos_t2", lambda w: np.exp(-w), "cosine", 2.0, None, 0.2),
     ("exp_cos_t50", lambda w: np.exp(-w), "cosine", 50.0, None, 1.0 / 2501.0),
+    ("exp_cos_t1e4", lambda w: np.exp(-w), "cosine", 1e4, None,
+     1.0 / (1.0 + 1e8)),
     ("sqrt_sine", lambda w: np.sqrt(w) * np.exp(-w), "sine", 3.0, 0.5,
      0.1504274292022966),
     ("inv_sqrt_sine", lambda w: np.exp(-w) / np.sqrt(w), "sine", 3.0, -0.5,
@@ -201,8 +203,9 @@ def test_unresolvable_feature_raises_quadrature_error():
         integrate_oscillatory(peak, "cosine", 0.0, starved)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.achieved > 1e-13
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as exc:
         oscillatory_grid(peak, "cosine", np.array([0.0, 1.0]), starved)
+    assert np.all(np.isfinite(exc.value.estimate))
     # the default budget does resolve it
     got = integrate_oscillatory(peak, "cosine", 0.0)
     assert got == pytest.approx(math.sqrt(math.pi) / 50.0, rel=1e-10)
